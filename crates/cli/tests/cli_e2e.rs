@@ -141,3 +141,64 @@ fn query_round_trips_against_in_process_server() {
     // Connecting to a dead server is an I/O failure: exit 3.
     assert_eq!(run(&argv(&["query", "--addr", &addr, "ping"])), 3);
 }
+
+/// Writes `edges` as a whitespace edge list and runs `detect --scheme
+/// color` on it, returning the exit code.
+fn detect_color_on(name: &str, edges: impl Iterator<Item = (u32, u32)>) -> i32 {
+    let dir = tmp_dir(name);
+    let graph = dir.join("g.edges");
+    let text: String = edges.map(|(u, v)| format!("{u} {v}\n")).collect();
+    std::fs::write(&graph, text).unwrap();
+    let assignments = dir.join("a.txt");
+    run(&argv(&[
+        "detect",
+        graph.to_str().unwrap(),
+        "--scheme",
+        "color",
+        "--assignments",
+        assignments.to_str().unwrap(),
+    ]))
+}
+
+/// An ascending-id path settles O(1) vertices per speculative coloring
+/// round. At 21 K vertices it needs more rounds than the retired
+/// `max_rounds` cap, which used to panic with exit 101.
+#[test]
+fn detect_color_survives_ascending_path() {
+    assert_eq!(
+        detect_color_on("ascending-path", (0..20_999).map(|i| (i, i + 1))),
+        0
+    );
+}
+
+#[test]
+fn detect_color_survives_shuffled_path() {
+    // 7919 is coprime to 120 000, so i ↦ 7919·i mod n permutes the ids.
+    let shuffled = |i: u32| (i as u64 * 7_919 % 120_000) as u32;
+    assert_eq!(
+        detect_color_on(
+            "shuffled-path",
+            (0..119_999).map(|i| (shuffled(i), shuffled(i + 1)))
+        ),
+        0
+    );
+}
+
+#[test]
+fn detect_color_survives_stars_and_cliques() {
+    assert_eq!(
+        detect_color_on("star-hub-low", (1..=50_000).map(|v| (0, v))),
+        0
+    );
+    assert_eq!(
+        detect_color_on("star-hub-high", (0..50_000).map(|v| (v, 50_000))),
+        0
+    );
+    assert_eq!(
+        detect_color_on(
+            "clique-500",
+            (0..500).flat_map(|u| (u + 1..500).map(move |v| (u, v)))
+        ),
+        0
+    );
+}

@@ -9,7 +9,14 @@
 //! Feo, Gebremedhin, Halappanavar, Pothen, *Graph coloring algorithms for
 //! multi-core and massively multithreaded architectures* (Parallel Computing
 //! 38(11), 2012) — the paper's reference \[12\] and the implementation Grappolo
-//! uses for preprocessing.
+//! uses for preprocessing. Its round count tracks the size of the densest
+//! core of uncolored vertices (a k-clique takes k rounds; the end-to-end
+//! benchmark's RMAT hub core takes 57–87 per phase), so each round's work is
+//! kept proportional to the edges among still-uncolored vertices: every
+//! vertex keeps a compacted list of its uncolored neighbors and a bitset of
+//! the colors it may no longer take. A deterministic work budget hands
+//! long ascending-id chains (paths) to a serial finish, so every input
+//! terminates. See [`parallel`].
 //!
 //! Also provided: a serial greedy reference, a *balanced* recoloring pass
 //! (the paper's §6.2 observes skewed color-class sizes hurt uk-2002 and
@@ -29,7 +36,9 @@ pub use balanced::balance_colors;
 pub use batches::ColorBatches;
 pub use distance2::color_distance2;
 pub use greedy::color_greedy_serial;
-pub use parallel::{color_parallel, ParallelColoringConfig};
+pub use parallel::{
+    color_parallel, color_parallel_with_stats, ParallelColoringConfig, ParallelColoringStats,
+};
 pub use stats::{color_class_sizes, color_classes, is_valid_distance1, ColoringStats};
 
 /// A coloring: `colors[v]` is the color (0-based) of vertex `v`.

@@ -281,10 +281,7 @@ fn colorings_are_valid() {
         let g = random_graph(&mut rng);
         let serial = color_greedy_serial(&g);
         assert!(is_valid_distance1(&g, &serial), "seed {seed} serial");
-        let cfg = ParallelColoringConfig {
-            serial_cutoff: 0,
-            ..Default::default()
-        };
+        let cfg = ParallelColoringConfig { serial_cutoff: 0 };
         let parallel = color_parallel(&g, &cfg);
         assert!(is_valid_distance1(&g, &parallel), "seed {seed} parallel");
     }
